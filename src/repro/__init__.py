@@ -59,7 +59,7 @@ from repro.observability import (
     write_metrics_text,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "AutoNCS",

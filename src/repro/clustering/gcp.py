@@ -80,6 +80,15 @@ def _split_oversized(
     return labels, centroids, changed
 
 
+def _adjacency(network):
+    """Float adjacency for the merge pass: CSR for networks and sparse input."""
+    if isinstance(network, ConnectionMatrix):
+        return network.adjacency(np.float64)
+    if sparse.issparse(network):
+        return sparse.csr_array(network).astype(np.float64)
+    return np.asarray(network, dtype=float)
+
+
 def greedy_cluster_size_prediction(
     network: Union[ConnectionMatrix, np.ndarray],
     max_size: int,
@@ -146,13 +155,7 @@ def greedy_cluster_size_prediction(
         km = kmeans(points, k, max_iterations=40, rng=rng, repair_empty=False)
         labels = _enforce_size_limit(points, km.labels, max_size, rng)
         if balance:
-            if isinstance(network, ConnectionMatrix):
-                similarity = network.adjacency(np.float64)
-            elif sparse.issparse(network):
-                similarity = sparse.csr_array(network).astype(np.float64)
-            else:
-                similarity = np.asarray(network, dtype=float)
-            labels = _merge_undersized(points, labels, max_size, similarity)
+            labels = _merge_undersized(points, labels, max_size, _adjacency(network))
         clusters = clusters_from_labels(labels)
         return ClusteringResult(
             clusters=clusters,
@@ -204,13 +207,7 @@ def greedy_cluster_size_prediction(
     points = basis[:, : min(k, basis.shape[1])]
     labels = _enforce_size_limit(points, labels, max_size, rng)
     if balance:
-        if isinstance(network, ConnectionMatrix):
-            similarity = network.adjacency(np.float64)
-        elif sparse.issparse(network):
-            similarity = sparse.csr_array(network).astype(np.float64)
-        else:
-            similarity = np.asarray(network, dtype=float)
-        labels = _merge_undersized(points, labels, max_size, similarity)
+        labels = _merge_undersized(points, labels, max_size, _adjacency(network))
     clusters = clusters_from_labels(labels)
     return ClusteringResult(
         clusters=clusters,

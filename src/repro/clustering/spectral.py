@@ -67,9 +67,8 @@ _LOBPCG_SEED = 0x5CA1AB1E
 def _similarity(network) -> Union[np.ndarray, sp.csr_array]:
     """Extract the symmetric similarity the Laplacian is built from.
 
-    Returns the backend-native form: dense ndarray for dense-backed
-    networks and raw arrays (bit-identical to the historical behaviour),
-    ``csr_array`` for sparse-backed networks and sparse input.
+    Returns a ``csr_array`` for :class:`ConnectionMatrix` and sparse
+    input, and a dense ndarray for raw array input.
     """
     if isinstance(network, ConnectionMatrix):
         return network.similarity()
@@ -139,8 +138,8 @@ def spectral_embedding(
     Parameters
     ----------
     network:
-        A :class:`ConnectionMatrix` (either backend), a raw similarity
-        matrix, or a scipy sparse similarity.
+        A :class:`ConnectionMatrix`, a raw similarity matrix, or a scipy
+        sparse similarity.
     k:
         Number of smallest eigenpairs wanted; ``None`` returns the full
         basis (GCP needs all ``n`` eigenvectors, Algorithm 2 line 1).

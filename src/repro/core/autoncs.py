@@ -23,7 +23,7 @@ reproducible in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -163,21 +163,12 @@ def _relaxed_routing_config(base: RoutingConfig, config: AutoNcsConfig) -> Routi
         if base.capacity_per_bin is not None
         else config.technology.routing_capacity_per_bin
     )
-    return RoutingConfig(
-        bin_um=base.bin_um,
+    return replace(
+        base,
         capacity_per_bin=max(1, capacity) * 2,
         window_margin_bins=base.window_margin_bins + 8,
-        congestion_weight=base.congestion_weight,
         max_relax_rounds=base.max_relax_rounds + 4,
-        relax_increment=base.relax_increment,
-        overflow_penalty=base.overflow_penalty,
-        region_margin_bins=base.region_margin_bins,
-        max_grid_bins=base.max_grid_bins,
-        algorithm=base.algorithm,
         max_ripup_iterations=base.max_ripup_iterations + 8,
-        present_weight=base.present_weight,
-        present_growth=base.present_growth,
-        history_increment=base.history_increment,
     )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.clustering.isc import DEFAULT_CROSSBAR_SIZES, DEFAULT_SELECTION_QUANTILE
@@ -92,13 +92,19 @@ class AutoNcsConfig:
 
         Two configs with equal fields (including nested technology,
         placement, routing and cost-weight dataclasses) share a key; any
-        differing knob changes it.  Used with
+        differing knob changes it.  Excluded by design: the routing
+        ``kernel`` (it only picks the execution engine; both engines give
+        bit-identical results).  Used with
         :meth:`~repro.networks.connection_matrix.ConnectionMatrix.digest`
         to address cached flow results in :mod:`repro.runtime.cache`.
         """
         from repro.utils.canonical import stable_hash
 
-        return stable_hash(self)
+        config = self
+        if self.routing is not None:
+            # Hash one fixed engine choice in place of the caller's.
+            config = replace(self, routing=replace(self.routing, kernel="python"))
+        return stable_hash(config)
 
 
 def fast_config() -> AutoNcsConfig:

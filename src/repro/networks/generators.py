@@ -14,11 +14,11 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-from repro.networks.connection_matrix import SPARSE_MIN_SIZE, ConnectionMatrix
+from repro.networks.connection_matrix import ConnectionMatrix
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive, check_probability
 
-#: Row-block size for the chunked large-``n`` sampling paths.
+#: Row-block size of the chunked sampling paths.
 _CHUNK_ROWS = 2048
 
 
@@ -31,29 +31,23 @@ def random_sparse_network(
 ) -> ConnectionMatrix:
     """Uniform random binary network with expected ``density`` off-diagonal fill.
 
-    Large networks (``n >= SPARSE_MIN_SIZE``) are sampled in row blocks and
-    assembled as edges so no dense ``n × n`` array is ever held.  Because
-    ``Generator.random`` fills row-major and successive calls continue the
-    same stream, the chunked path draws the identical boolean field as the
-    dense path — the topology for a given seed does not depend on which
-    path ran.
+    The network is sampled in row blocks and assembled as edges, so no
+    dense ``n × n`` array is ever held.  Because ``Generator.random``
+    fills row-major and successive calls continue the same stream, the
+    blocks draw the identical boolean field as one ``rng.random((n, n))``
+    call — the topology (and digest) for a given seed does not depend on
+    the block size.
     """
     check_positive("n", n)
     check_probability("density", density)
     rng = ensure_rng(rng)
-    if n < SPARSE_MIN_SIZE:
-        w = (rng.random((n, n)) < density).astype(np.uint8)
-        np.fill_diagonal(w, 0)
-        if symmetric:
-            w = np.maximum(w, w.T)
-        return ConnectionMatrix.from_dense(w, name=name)
     row_parts = []
     col_parts = []
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
         block = rng.random((stop - start, n)) < density
-        local_rows, cols = np.nonzero(block)
-        rows = local_rows + start
+        rows, cols = np.divmod(np.flatnonzero(block), n)
+        rows += start
         off_diagonal = rows != cols
         row_parts.append(rows[off_diagonal])
         col_parts.append(cols[off_diagonal])
@@ -61,7 +55,7 @@ def random_sparse_network(
     cols = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.int64)
     if symmetric:
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    return ConnectionMatrix.from_edges(n, (rows, cols), name=name, backend="sparse")
+    return ConnectionMatrix.from_edges(n, (rows, cols), name=name)
 
 
 def block_diagonal_network(

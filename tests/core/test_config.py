@@ -1,5 +1,7 @@
 """Tests for the pipeline configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import AutoNcsConfig, fast_config
@@ -38,3 +40,23 @@ class TestAutoNcsConfig:
         config = fast_config()
         assert config.max_isc_iterations <= 10
         assert config.placement.max_lambda_stages <= 5
+
+    def test_cache_key_ignores_routing_kernel(self):
+        # The kernel only picks the execution engine (bit-identical
+        # results), so numba and numba-less replicas share artifacts.
+        config = fast_config()
+        keys = {
+            dataclasses.replace(
+                config, routing=dataclasses.replace(config.routing, kernel=kernel)
+            ).cache_key()
+            for kernel in ("auto", "numba", "python")
+        }
+        assert len(keys) == 1
+
+    def test_cache_key_tracks_result_fields(self):
+        config = fast_config()
+        relaxed = dataclasses.replace(
+            config, routing=dataclasses.replace(config.routing, max_relax_rounds=9)
+        )
+        assert relaxed.cache_key() != config.cache_key()
+        assert AutoNcsConfig().cache_key() != config.cache_key()

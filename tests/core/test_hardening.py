@@ -1,5 +1,7 @@
 """Tests for the hardened AutoNCS pipeline: StageError, fallbacks, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core import AutoNCS, StageError
 from repro.core.config import fast_config
 from repro.networks import ConnectionMatrix, random_sparse_network
 from repro.physical.placement.placer import place as real_place
+from repro.physical.routing.router import RoutingConfig
 from repro.physical.routing.router import route as real_route
 from repro.utils.rng import spawn_rng
 
@@ -114,6 +117,55 @@ class TestRoutingRetry:
         assert fallbacks[0]["stage"] == "routing"
         assert fallbacks[0]["action"] == "relaxed_capacity_retry"
         assert "routing_retry" in result.metadata["stage_seconds"]
+
+    def test_retry_keeps_every_non_relaxed_field(self):
+        base = RoutingConfig(
+            bin_um=7.5,
+            capacity_per_bin=3,
+            window_margin_bins=2,
+            congestion_weight=3.5,
+            max_relax_rounds=1,
+            relax_increment=2,
+            overflow_penalty=4.0,
+            region_margin_bins=3,
+            max_grid_bins=40,
+            algorithm="negotiated",
+            max_ripup_iterations=5,
+            present_weight=0.7,
+            present_growth=2.0,
+            history_increment=0.9,
+            kernel="python",
+            metadata={"tag": "pinned"},
+        )
+        relaxed = autoncs_module._relaxed_routing_config(base, fast_config())
+        assert relaxed.capacity_per_bin == 6
+        assert relaxed.window_margin_bins == 10
+        assert relaxed.max_relax_rounds == 5
+        assert relaxed.max_ripup_iterations == 13
+        loosened = {
+            "capacity_per_bin",
+            "window_margin_bins",
+            "max_relax_rounds",
+            "max_ripup_iterations",
+        }
+        for f in dataclasses.fields(RoutingConfig):
+            if f.name not in loosened:
+                assert getattr(relaxed, f.name) == getattr(base, f.name), f.name
+
+    def test_retry_routes_with_the_pinned_kernel(self, network, monkeypatch):
+        kernels = []
+
+        def flaky_route(netlist, placement, **kwargs):
+            kernels.append(kwargs["config"].kernel)
+            if len(kernels) == 1:
+                raise RuntimeError("synthetic congestion blow-up")
+            return real_route(netlist, placement, **kwargs)
+
+        monkeypatch.setattr(autoncs_module, "route", flaky_route)
+        config = fast_config()
+        config.routing = dataclasses.replace(config.routing, kernel="python")
+        AutoNCS(config).run(network, rng=3)
+        assert kernels == ["python", "python"]
 
     def test_persistent_failure_raises_stage_error(self, flow, network, monkeypatch):
         def dead_route(netlist, placement, **kwargs):

@@ -73,7 +73,7 @@ class TestSymmetry:
 
     def test_symmetrized_max(self):
         net = simple_matrix()
-        sym = net.symmetrized()
+        sym = net.similarity().toarray()
         assert sym[0, 3] == 1.0  # only 3->0 existed
         assert np.array_equal(sym, sym.T)
 
