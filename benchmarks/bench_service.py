@@ -9,8 +9,7 @@ rest from the in-flight coalescer or the artifact cache.
 The bench asserts the serving *contracts* — zero errors, exactly-once
 execution per unique job, a ≥90 % hit mix — while *recording* latency
 percentiles and throughput without asserting them (both are machine
-numbers; the committed trajectory lives in ``BENCH_service.json`` via
-``python -m repro bench --suites service``).
+numbers; ``perfbench/`` is where service speed is measured).
 
 Fast mode shrinks the request count (the contracts are scale-free),
 not the unique-job set.

@@ -23,10 +23,6 @@ Commands
     and independently verify the result: coverage, hardware legality,
     physical legality, functional equivalence.  Exit status 1 on any
     violation.
-``bench``
-    Run the perf harness (:mod:`repro.bench`): tagged routing/flow
-    benchmarks emitting schema-versioned ``BENCH_*.json``, with
-    ``--check`` regression gating against the committed baselines.
 ``serve``
     Run the mapping service (:mod:`repro.service`): an async HTTP/JSON
     job layer over the runtime engine — submit/status/result/cancel,
@@ -369,12 +365,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench_command
-
-    return run_bench_command(args)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig
     from repro.service.http import ServiceServer
@@ -557,14 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "config's, i.e. auto)")
     _add_observability_arguments(verify)
     verify.set_defaults(func=_cmd_verify)
-
-    bench = sub.add_parser(
-        "bench", help="perf harness: run benchmarks, emit/check BENCH_*.json"
-    )
-    from repro.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
         "serve", help="run the mapping service (async HTTP job layer)"

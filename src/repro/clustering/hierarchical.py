@@ -17,7 +17,7 @@ partition can never be absorbed by a crossbar, so the outlier ratio is
 bounded below by the coarse cut ratio; in exchange the cost drops from
 "many eigensolves over ``n``" to "one truncated eigensolve over ``n`` plus
 many dense solves over ``tier_size``", which is what makes 50k+ neurons
-tractable end-to-end (see DESIGN.md and BENCH_clustering.json).
+tractable end-to-end (see DESIGN.md and ``benchmarks/bench_scale.py``).
 """
 
 from __future__ import annotations

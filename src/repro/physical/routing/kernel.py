@@ -1,8 +1,9 @@
 """Native-speed maze-routing kernel (the ROADMAP "routing hot path" item).
 
-The windowed A* of :mod:`repro.physical.routing.maze` dominates flow wall
-time at scale (BENCH_routing: heap pops/pushes and visited bins), and the
-negotiated router roughly doubles searches through rip-up retries.  This
+The windowed A* of :mod:`repro.physical.routing.maze` dominates routing
+time at scale (the ``routing.heap_pops`` and ``routing.visited_bins``
+counters), and the negotiated router roughly doubles searches through
+rip-up retries.  This
 module rewrites that inner loop as a batched kernel over the existing
 :class:`~repro.physical.routing.maze.MazeWorkspace` float64 arrays:
 

@@ -68,13 +68,30 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # One write for headers and body: ``end_headers`` would send the
+        # header block on its own, and a second small write behind it
+        # waits out the client's delayed ACK (Nagle) on keep-alive.
+        if self.request_version != "HTTP/0.9":  # 0.9 responses carry no headers
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise BadRequestError(f"request body too large ({length} bytes)")
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The unread body cannot be skipped reliably: answer, then
+            # close the connection.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise BadRequestError(f"request body too large ({length} bytes)")
+            raise BadRequestError(f"invalid Content-Length: {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise BadRequestError("request body must be a JSON object")
@@ -193,8 +210,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
 
         def write_chunk(data: bytes) -> None:
-            self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-            self.wfile.write(data + b"\r\n")
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
 
         try:
             if query.get("follow") in ("0", "false", "no"):
@@ -206,8 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
                     record.events_path, stop=lambda: record.terminal
                 ):
                     write_chunk((canonical_json(event) + "\n").encode("utf-8"))
-            write_chunk(b"")  # terminating zero-length chunk
-            self.wfile.write(b"\r\n")
+            write_chunk(b"")  # terminating zero-length chunk: 0\r\n\r\n
         except BrokenPipeError:
             pass
 
@@ -217,7 +232,7 @@ class ServiceServer:
 
     Owns both lifecycles: ``start()`` spawns the service workers and
     the acceptor thread; ``stop()`` drains them.  Usable as a context
-    manager (the pattern the CLI, the tests and the bench harness all
+    manager (the pattern the CLI, the tests and the benchmarks all
     share).
     """
 

@@ -1,7 +1,6 @@
 """Load generation against a running mapping service.
 
-The measurement core shared by the ``service`` bench suite
-(:mod:`repro.bench`) and the standalone harness
+The measurement core of the service load benchmark
 (``benchmarks/bench_service.py``): a pool of client threads submits a
 fixed, seeded request mix over HTTP (``?wait=1``, so each request's
 wall time *is* its submission-to-result latency), and a

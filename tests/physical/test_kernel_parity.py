@@ -4,18 +4,21 @@ The contract (DESIGN.md "Routing kernel parity"): the kernel must produce
 **bit-identical** paths, edge usage, counters and wirelength on every
 input.  These tests enforce it three ways:
 
-* the paper testbenches tb1–tb3, clustered/mapped/placed exactly as the
-  bench harness does, routed with both algorithms;
+* the paper testbenches tb1–tb3, clustered, mapped and placed by the
+  regular flow stages, routed with both algorithms;
 * hypothesis property tests over random grids, capacities, preloaded
   usage ("obstruction maps") and wire lists at the batch-kernel level;
 * the same checks against the *compiled* kernel when Numba is installed
-  (skipped cleanly otherwise).
+  (skipped cleanly otherwise), plus the compiled kernel's speed floor:
+  at least ``SPEEDUP_FLOOR`` times faster than the python reference.
 
 Where Numba is absent the suite drives the uncompiled kernel through
 :func:`~repro.physical.routing.kernel.interpreted_kernel` — the factory
 builds both variants from the same source, so the interpreted run
 exercises exactly the code the jit compiles.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -45,8 +48,13 @@ ENGINE_SPECIFIC = {
 }
 
 
+#: Minimum same-run speedup of the compiled kernel over the python
+#: reference on the dimension-64 testbenches (the reason the kernel exists).
+SPEEDUP_FLOOR = 5.0
+
+
 def _placed_testbench(index, dimension=16, seed=42):
-    """Cluster, map and place one scaled testbench (bench-harness recipe)."""
+    """Cluster, map and place one scaled testbench."""
     from repro.core.autoncs import AutoNCS
     from repro.experiments.testbenches import build_testbench, scaled_testbench
     from repro.mapping.autoncs_mapping import autoncs_mapping
@@ -149,6 +157,49 @@ class TestTestbenchParity:
                 RoutingConfig(kernel="numba", **config),
             )
         assert_bit_identical(ref, ker, ref_counters, ker_counters)
+
+
+def _warm_compiled_kernel():
+    """Trigger JIT compilation of both kernel variants on a tiny grid."""
+    grid = RoutingGrid(
+        origin=(0.0, 0.0), width=30.0, height=30.0, bin_um=10.0, capacity=2
+    )
+    workspace = MazeWorkspace(grid)
+    route_wires_kernel(
+        grid, workspace, [((0, 0), (2, 2))],
+        window_margin=2, congestion_weight=2.0,
+    )
+    route_wires_kernel(
+        grid, workspace, [((2, 2), (0, 0))],
+        window_margin=2, congestion_weight=2.0, present_weight=0.5,
+    )
+
+
+@pytest.fixture(scope="module", params=(1, 2, 3))
+def speed_case(request):
+    return _placed_testbench(request.param, dimension=64)
+
+
+@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
+@pytest.mark.parametrize("algorithm", ("ordered", "negotiated"))
+def test_compiled_kernel_speedup_floor(speed_case, algorithm):
+    # Same-run wall-time ratio (both engines on this host, seconds
+    # apart), with JIT compilation kept out of the timed region.
+    netlist, placement, technology = speed_case
+    _warm_compiled_kernel()
+    seconds = {}
+    for kernel in ("python", "numba"):
+        start = time.perf_counter()
+        _route_recorded(
+            netlist, placement, technology,
+            RoutingConfig(algorithm=algorithm, kernel=kernel),
+        )
+        seconds[kernel] = time.perf_counter() - start
+    speedup = seconds["python"] / max(seconds["numba"], 1e-12)
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"compiled kernel only {speedup:.2f}x faster than python "
+        f"({seconds['python']:.3f}s vs {seconds['numba']:.3f}s)"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -283,3 +283,33 @@ class TestCounters:
         assert counters.get("chaos.faults_injected") == 1
         assert counters.get("chaos.faults.transient") == 1
         assert counters.get("runner.retries") == 1
+
+    def test_null_plan_resilient_run_counts_nothing(self):
+        # A resilient runner with no plan installed must cost nothing in
+        # the resilience accounting: no retries, faults or failures.
+        from repro.observability import Recorder, recording
+
+        recorder = Recorder()
+        jobs = [unit_job(i, key=False) for i in range(16)]
+        with recording(recorder):
+            results = Runner(resilience=QUICK, chaos=None).run(jobs)
+        assert all(r.failure is None and r.attempts == 1 for r in results)
+        counters = recorder.snapshot().counters
+        for name in ("runner.retries", "runner.failures", "chaos.faults_injected"):
+            assert counters.get(name, 0) == 0, name
+
+    def test_transient_preset_grid_recovers_with_equal_checksum(self):
+        from repro.observability import Recorder, recording
+
+        jobs = [unit_job(i, key=False) for i in range(16)]
+        clean = Runner().run(jobs)
+        recorder = Recorder()
+        plan = FaultPlan.parse("transient", seed=5)
+        with recording(recorder):
+            chaotic = Runner(resilience=QUICK, chaos=plan).run(jobs)
+        counters = recorder.snapshot().counters
+        assert counters.get("chaos.faults_injected", 0) > 0
+        assert counters.get("runner.retries") == counters.get("chaos.faults_injected")
+        assert counters.get("runner.failures", 0) == 0
+        # Value by value, which is stronger than an equal checksum.
+        assert [r.value for r in chaotic] == [r.value for r in clean]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import urllib.request
 
 import pytest
 
 from repro.service import ServiceConfig, ServiceServer
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.http import _Handler
 
 MAP_REQUEST = {"kind": "map", "neurons": 24, "density": 0.2}
 
@@ -146,3 +149,120 @@ class TestCliServe:
         with urllib.request.urlopen(server.url + "/healthz") as response:
             assert response.headers["Content-Type"] == "application/json"
             assert json.loads(response.read()) == {"ok": True}
+
+
+def _raw_exchange(server, request: bytes):
+    """Send ``request`` on a fresh socket; return ``(socket, reader)``."""
+    sock = socket.create_connection((server.host, server.port), timeout=10)
+    sock.sendall(request)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(reader):
+    """Read one Content-Length response: ``(status line, headers, body)``."""
+    status = reader.readline()
+    headers = {}
+    for line in _header_lines(reader):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", 0)))
+
+
+def _header_lines(reader):
+    """Header lines up to the blank line (or the end of the stream)."""
+    line = reader.readline()
+    while line not in (b"\r\n", b""):
+        yield line
+        line = reader.readline()
+
+
+class TestWire:
+    """Byte-level behaviour a strict HTTP/1.1 client depends on."""
+
+    def test_events_stream_ends_cleanly_on_keep_alive(self, server, client):
+        done = client.submit(MAP_REQUEST, wait=True)
+        sock, reader = _raw_exchange(
+            server,
+            f"GET /jobs/{done['job_id']}/events HTTP/1.1\r\n"
+            "Host: test\r\n\r\n".encode("ascii"),
+        )
+        with sock, reader:
+            assert reader.readline().startswith(b"HTTP/1.1 200")
+            for _line in _header_lines(reader):
+                pass
+            while True:
+                size = int(reader.readline(), 16)
+                chunk = reader.read(size + 2)
+                assert chunk.endswith(b"\r\n")
+                if size == 0:
+                    break
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, _headers, body = _read_response(reader)
+        assert status == b"HTTP/1.1 200 OK\r\n"
+        assert json.loads(body) == {"ok": True}
+
+    @pytest.mark.parametrize("length", ("abc", "-1"))
+    def test_invalid_content_length_is_400(self, server, length):
+        sock, reader = _raw_exchange(
+            server,
+            f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("ascii"),
+        )
+        with sock, reader:
+            status, headers, body = _read_response(reader)
+        assert status.startswith(b"HTTP/1.1 400")
+        assert headers["connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_one_write_per_response(self, server, client, monkeypatch):
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self._raw = raw
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        setup = _Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        done = client.submit(MAP_REQUEST, wait=True)
+        job = done["job_id"]
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            for method, path in (
+                ("GET", "/healthz"),
+                ("GET", "/stats"),
+                ("GET", f"/jobs/{job}"),
+                ("GET", f"/jobs/{job}/result"),
+                ("GET", "/nope"),
+                ("POST", f"/jobs/{job}/cancel"),
+            ):
+                writes.clear()
+                connection.request(method, path)
+                response = connection.getresponse()
+                response.read()
+                assert len(writes) == 1, (method, path, writes)
+                assert writes[0].startswith(b"HTTP/1.1 ")
+            writes.clear()
+            connection.request("GET", f"/jobs/{job}/events")
+            response = connection.getresponse()
+            events = response.read().splitlines()
+        finally:
+            connection.close()
+        # Header block, then exactly one write per chunk, then the
+        # terminator — nothing after it.
+        assert writes[0].startswith(b"HTTP/1.1 200")
+        assert len(writes) == 1 + len(events) + 1
+        for chunk, event in zip(writes[1:], events):
+            assert chunk == b"%x\r\n%s\n\r\n" % (len(event) + 1, event)
+        assert writes[-1] == b"0\r\n\r\n"

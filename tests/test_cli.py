@@ -60,11 +60,10 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--kernel", "fortran"])
 
-    def test_bench_kernel_flag(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.kernel == "auto"
-        args = build_parser().parse_args(["bench", "--kernel", "numba"])
-        assert args.kernel == "numba"
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCommands:
