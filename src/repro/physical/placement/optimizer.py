@@ -9,11 +9,23 @@ PR+ with restarts is the standard choice in analytical placement
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Protocol, Tuple
 
 import numpy as np
 
-ValueAndGrad = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+
+class Objective(Protocol):
+    """What the optimizer evaluates: values at trial points, gradients at
+    the start point and at the points the line search accepts."""
+
+    def value(self, z: np.ndarray) -> float:
+        """``f(z)`` at a trial point."""
+
+    def value_and_grad(self, z: np.ndarray) -> Tuple[float, np.ndarray]:
+        """``(f(z), ∇f(z))`` at a point not evaluated before."""
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        """``∇f(z)`` at a point whose value was already computed."""
 
 
 @dataclass
@@ -27,7 +39,7 @@ class CgResult:
 
 
 def _armijo_line_search(
-    objective: ValueAndGrad,
+    objective: Objective,
     z: np.ndarray,
     value: float,
     grad: np.ndarray,
@@ -39,42 +51,45 @@ def _armijo_line_search(
 ) -> Tuple[np.ndarray, float, np.ndarray, float]:
     """Backtracking search satisfying the Armijo sufficient-decrease rule.
 
-    Returns ``(z_new, value_new, grad_new, step)``; a zero step means the
-    search failed (direction not a descent direction at machine precision).
+    Trial points are evaluated by value only; the gradient is computed once,
+    at the accepted point.  Returns ``(z_new, value_new, grad_new, step)``;
+    a zero step means the search failed (direction not a descent direction
+    at machine precision).
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
         return z, value, grad, 0.0
     step = initial_step
     candidate = z + step * direction
-    cand_value, cand_grad = objective(candidate)
+    cand_value = objective.value(candidate)
     if np.isfinite(cand_value) and cand_value <= value + c1 * step * slope:
         # The initial step already works — expand while it keeps helping,
         # which makes the search robust to a too-small step scale (e.g. a
         # degenerate all-zeros start gives no coordinate span to infer one).
-        best = (candidate, cand_value, cand_grad, step)
+        best = (candidate, cand_value, step)
         for _ in range(10):
             step *= 2.0
             candidate = z + step * direction
-            cand_value, cand_grad = objective(candidate)
+            cand_value = objective.value(candidate)
             if np.isfinite(cand_value) and cand_value < best[1] + c1 * (
-                step - best[3]
+                step - best[2]
             ) * slope:
-                best = (candidate, cand_value, cand_grad, step)
+                best = (candidate, cand_value, step)
             else:
                 break
-        return best
+        candidate, cand_value, step = best
+        return candidate, cand_value, objective.gradient(candidate), step
     for _ in range(max_backtracks):
         step *= shrink
         candidate = z + step * direction
-        cand_value, cand_grad = objective(candidate)
+        cand_value = objective.value(candidate)
         if np.isfinite(cand_value) and cand_value <= value + c1 * step * slope:
-            return candidate, cand_value, cand_grad, step
+            return candidate, cand_value, objective.gradient(candidate), step
     return z, value, grad, 0.0
 
 
 def conjugate_gradient(
-    objective: ValueAndGrad,
+    objective: Objective,
     z0: np.ndarray,
     max_iterations: int = 100,
     gradient_tolerance: float = 1e-6,
@@ -85,7 +100,8 @@ def conjugate_gradient(
     Parameters
     ----------
     objective:
-        Callable returning ``(value, gradient)``.
+        Provides ``value(z)``, ``value_and_grad(z)`` and ``gradient(z)``
+        (see :class:`Objective`).
     step_scale:
         Multiplier on the heuristic initial step of each line search —
         larger values explore faster, smaller values are safer.
@@ -99,7 +115,7 @@ def conjugate_gradient(
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     z = np.asarray(z0, dtype=float).copy()
-    value, grad = objective(z)
+    value, grad = objective.value_and_grad(z)
     direction = -grad
     converged = False
     iteration = 0

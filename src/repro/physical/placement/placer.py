@@ -33,7 +33,6 @@ from repro.hardware.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.mapping.netlist import CellKind, Netlist
 from repro.observability import get_recorder
 from repro.physical.layout import Placement
-from repro.physical.placement.density import true_overlap
 from repro.physical.placement.initial import initial_placement
 from repro.physical.placement.legalize import compact, grid_snap
 from repro.physical.placement.objective import PlacementObjective
@@ -166,13 +165,13 @@ def place(
             for stage in range(1, config.max_lambda_stages + 1):
                 objective.lam = lam
                 result = conjugate_gradient(
-                    objective.value_and_grad,
+                    objective,
                     z,
                     max_iterations=config.cg_iterations_per_stage,
                 )
                 z = result.z
                 x, y = objective.unpack(z)
-                overlap = true_overlap(x, y, virtual_w, virtual_h)
+                overlap = objective.overlap(z)
                 overlap_ratio = overlap / total_virtual_area if total_virtual_area else 0.0
                 stage_log.append(
                     {
@@ -214,6 +213,7 @@ def place(
         legalize_span.annotate(chosen=chosen_name)
 
     recorder.count("placement.runs")
+    recorder.count(f"placement.snapshot.{chosen_name}")
     recorder.count("placement.lambda_stages", len(stage_log))
     recorder.count(
         "placement.gradient_steps", sum(s["cg_iterations"] for s in stage_log)
@@ -221,6 +221,7 @@ def place(
     if objective is not None:
         recorder.count("placement.wa_evals", objective.wa_evals)
         recorder.count("placement.density_evals", objective.density_evals)
+        recorder.count("placement.gradient_evals", objective.gradient_evals)
     if stage_log:
         recorder.gauge("placement.final_overlap_ratio", stage_log[-1]["overlap_ratio"])
     recorder.gauge("placement.hpwl_after_legalization", hpwl_after_compact)

@@ -6,6 +6,27 @@ import pytest
 from repro.physical.placement.optimizer import conjugate_gradient
 
 
+class FunctionObjective:
+    """Adapts a ``z -> (value, gradient)`` function to the optimizer's
+    objective protocol."""
+
+    def __init__(self, function):
+        self.function = function
+
+    def value(self, z):
+        return self.function(z)[0]
+
+    def value_and_grad(self, z):
+        return self.function(z)
+
+    def gradient(self, z):
+        return self.function(z)[1]
+
+
+def cg(function, z0, **kwargs):
+    return conjugate_gradient(FunctionObjective(function), z0, **kwargs)
+
+
 def quadratic(center):
     center = np.asarray(center, dtype=float)
 
@@ -18,7 +39,7 @@ def quadratic(center):
 
 class TestConjugateGradient:
     def test_solves_quadratic(self):
-        result = conjugate_gradient(quadratic([3.0, -2.0]), np.zeros(2),
+        result = cg(quadratic([3.0, -2.0]), np.zeros(2),
                                     max_iterations=200)
         np.testing.assert_allclose(result.z, [3.0, -2.0], atol=1e-3)
         assert result.converged
@@ -35,7 +56,7 @@ class TestConjugateGradient:
 
         start = np.array([-1.0, 1.0])
         start_value, _ = rosenbrock(start)
-        result = conjugate_gradient(rosenbrock, start, max_iterations=300)
+        result = cg(rosenbrock, start, max_iterations=300)
         assert result.value < start_value / 10
 
     def test_monotone_decrease(self):
@@ -46,30 +67,30 @@ class TestConjugateGradient:
             values.append(value)
             return value, grad
 
-        conjugate_gradient(tracked, np.zeros(1), max_iterations=50)
+        cg(tracked, np.zeros(1), max_iterations=50)
         # line-search evaluations may jitter, but accepted values decrease:
         # final must be far below initial
         assert values[-1] <= values[0]
 
     def test_already_converged(self):
-        result = conjugate_gradient(quadratic([0.0]), np.zeros(1))
+        result = cg(quadratic([0.0]), np.zeros(1))
         assert result.converged
         assert result.value == pytest.approx(0.0, abs=1e-12)
 
     def test_high_dimensional(self):
         rng = np.random.default_rng(0)
         center = rng.random(100)
-        result = conjugate_gradient(quadratic(center), np.zeros(100),
+        result = cg(quadratic(center), np.zeros(100),
                                     max_iterations=300)
         np.testing.assert_allclose(result.z, center, atol=1e-2)
 
     def test_iteration_budget_respected(self):
-        result = conjugate_gradient(quadratic([100.0]), np.zeros(1), max_iterations=3)
+        result = cg(quadratic([100.0]), np.zeros(1), max_iterations=3)
         assert result.iterations <= 3
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
-            conjugate_gradient(quadratic([1.0]), np.zeros(1), max_iterations=0)
+            cg(quadratic([1.0]), np.zeros(1), max_iterations=0)
 
     def test_never_increases_value(self):
         def objective(z):
@@ -77,5 +98,5 @@ class TestConjugateGradient:
 
         start = np.full(5, 2.0)
         start_value, _ = objective(start)
-        result = conjugate_gradient(objective, start, max_iterations=100)
+        result = cg(objective, start, max_iterations=100)
         assert result.value <= start_value + 1e-12

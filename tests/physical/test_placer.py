@@ -5,6 +5,7 @@ import pytest
 
 from repro.hardware.library import CrossbarLibrary
 from repro.mapping.netlist import CrossbarInstance, build_netlist
+from repro.observability import recording
 from repro.physical.cost import CostWeights, PhysicalCost, evaluate_cost, wire_delays_ns
 from repro.physical.layout import Placement
 from repro.physical.placement.initial import initial_placement
@@ -109,6 +110,22 @@ class TestPlace:
         b = place(small_netlist, config=config, rng=7)
         np.testing.assert_allclose(a.x, b.x)
         np.testing.assert_allclose(a.y, b.y)
+
+    def test_records_snapshot_and_gradient_counters(self, small_netlist):
+        config = PlacementConfig(max_lambda_stages=3, cg_iterations_per_stage=10)
+        with recording() as recorder:
+            placement = place(small_netlist, config=config, rng=7)
+        counts = recorder.snapshot()
+        chosen = placement.metadata["chosen_snapshot"]
+        other = "seed" if chosen == "refined" else "refined"
+        assert counts.get(f"placement.snapshot.{chosen}") == 1
+        assert counts.get(f"placement.snapshot.{other}") is None
+        # One gradient for λ0, one per CG start, at most one per CG step;
+        # each line search tries at least one point it does not accept.
+        gradients = counts.get("placement.gradient_evals")
+        stages = counts.get("placement.lambda_stages")
+        assert stages < gradients <= 1 + stages + counts.get("placement.gradient_steps")
+        assert gradients < counts.get("placement.wa_evals")
 
 
 class TestCostEvaluation:

@@ -87,6 +87,62 @@ def test_wa_scale_equivariance(seed, gamma, scale):
     assert scaled == pytest.approx(base * scale, rel=1e-6, abs=1e-6)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 40),
+    tau=st.floats(0.05, 5.0),
+    lam=st.sampled_from([0.0, 0.3, 7.0]),
+    spread=st.floats(0.0, 60.0),
+    coincident=st.integers(0, 40),
+)
+def test_objective_bitwise_equals_oracle(seed, n, tau, lam, spread, coincident):
+    """Value and gradient equal the reference formulas bit for bit, at any
+    size, cell dimensions, τ and positions (coincident centres included)."""
+    from repro.physical.placement.objective import PlacementObjective
+    from tests.physical import placement_oracle as oracle
+
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.2, 8.0, n)
+    heights = rng.uniform(0.2, 8.0, n)
+    x = rng.uniform(0.0, spread, n)
+    y = rng.uniform(0.0, spread, n)
+    x[: min(coincident, n)] = x[0]
+    y[: min(coincident, n)] = y[0]
+    wires = int(rng.integers(0, 2 * n))
+    s = rng.integers(0, n, wires)
+    t = (s + 1 + rng.integers(0, n - 1, wires)) % n
+    w = rng.uniform(0.1, 3.0, wires)
+    gamma = float(rng.uniform(0.05, 3.0))
+    objective = PlacementObjective(s, t, w, widths, heights, gamma, tau)
+    objective.lam = lam
+    z = objective.pack(x, y)
+    expected, expected_grad = oracle.objective(
+        x, y, s, t, w, widths, heights, gamma, tau, lam
+    )
+    value, grad = objective.value_and_grad(z)
+    assert value == expected
+    assert np.array_equal(grad, expected_grad)
+    assert objective.value(z) == expected
+    assert np.array_equal(objective.gradient(z), expected_grad)
+    assert objective.overlap(z) == oracle.overlap(x, y, widths, heights)
+
+
+@settings(max_examples=10, deadline=None)
+@given(tau=st.floats(max_value=0.0, allow_nan=False), n=st.integers(2, 40))
+def test_nonpositive_tau_rejected(tau, n):
+    """τ ≤ 0 raises on the cached-pair path, as it always did."""
+    from repro.physical.placement.density import density_value_and_grad
+    from repro.physical.placement.objective import PlacementObjective
+
+    cells = np.ones(n)
+    with pytest.raises(ValueError):
+        PlacementObjective(np.array([0]), np.array([1]), np.ones(1), cells, cells,
+                           1.0, tau)
+    with pytest.raises(ValueError):
+        density_value_and_grad(np.zeros(n), np.zeros(n), cells, cells, tau)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_routing_usage_conserved_by_ripup(seed):
